@@ -77,7 +77,8 @@ impl Default for SipServerConfig {
 pub struct SipServerStats {
     /// Currently established (or establishing) calls.
     pub active_calls: AtomicU64,
-    /// INVITEs answered.
+    /// INVITEs answered. Like `byes`, bumped before the 200 OK is sent,
+    /// so a client holding the reply never reads a stale count.
     pub invites: AtomicU64,
     /// ACKs seen (dialogs confirmed).
     pub acks: AtomicU64,
@@ -356,9 +357,9 @@ fn drain_call_socket(
                 shared.stats.acks.fetch_add(1, Ordering::Relaxed);
             }
             Some(SipMethod::Bye) => {
+                shared.stats.byes.fetch_add(1, Ordering::Relaxed);
                 let wire = scratch.response_to(&msg, 200, "OK", &[]);
                 call.sock.send_to(wire, src)?;
-                shared.stats.byes.fetch_add(1, Ordering::Relaxed);
                 done = true;
             }
             _ => {}
@@ -399,6 +400,7 @@ fn handle_ud_message(
             let fd = call_sock.fd();
             let contact = format!("<sip:{}>", call_sock.local_addr());
             let wire = scratch.response_to(msg, 200, "OK", &[("Contact", &contact)]);
+            shared.stats.invites.fetch_add(1, Ordering::Relaxed);
             call_sock.send_to(wire, src)?;
             let state = stack
                 .device()
@@ -409,7 +411,6 @@ fn handle_ud_message(
                 sock: call_sock,
                 _state: state,
             });
-            shared.stats.invites.fetch_add(1, Ordering::Relaxed);
             shared.stats.active_calls.fetch_add(1, Ordering::Relaxed);
             return Ok(Some((h, fd)));
         }
@@ -477,17 +478,17 @@ fn rc_event_loop(
                     Ok((msg, used)) => {
                         match msg.method() {
                             Some(SipMethod::Invite) => {
+                                shared.stats.invites.fetch_add(1, Ordering::Relaxed);
                                 let wire = scratch.response_to(&msg, 200, "OK", &[]);
                                 let _ = call.sock.send(wire);
-                                shared.stats.invites.fetch_add(1, Ordering::Relaxed);
                             }
                             Some(SipMethod::Ack) => {
                                 shared.stats.acks.fetch_add(1, Ordering::Relaxed);
                             }
                             Some(SipMethod::Bye) => {
+                                shared.stats.byes.fetch_add(1, Ordering::Relaxed);
                                 let wire = scratch.response_to(&msg, 200, "OK", &[]);
                                 let _ = call.sock.send(wire);
-                                shared.stats.byes.fetch_add(1, Ordering::Relaxed);
                                 call.done = true;
                             }
                             _ => {}

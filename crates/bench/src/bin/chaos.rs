@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 
 use iwarp_chaos::{run_plan, ChaosOpts};
+use iwarp_common::ccalgo::CcAlgo;
 use iwarp_common::rng::derive_seed;
 
 struct Args {
@@ -24,6 +25,7 @@ struct Args {
     msgs: Option<usize>,
     dgrams: Option<usize>,
     verbose: bool,
+    cc: CcAlgo,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -34,6 +36,7 @@ fn parse_args() -> Result<Args, String> {
         msgs: None,
         dgrams: None,
         verbose: false,
+        cc: ChaosOpts::default().cc,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -58,9 +61,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--cc" => {
                 let spec = grab("--cc")?;
-                let algo = iwarp_common::ccalgo::CcAlgo::parse(&spec)
+                args.cc = CcAlgo::parse(&spec)
                     .ok_or(format!("--cc takes 'fixed', 'newreno' or 'cubic', got {spec:?}"))?;
-                iwarp_common::ccalgo::set_default(algo);
             }
             "--help" | "-h" => {
                 println!(
@@ -87,6 +89,7 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 fn opts_from(args: &Args, forensic: bool) -> ChaosOpts {
     let mut o = ChaosOpts {
         forensic,
+        cc: args.cc,
         ..ChaosOpts::default()
     };
     if let Some(m) = args.msgs {
@@ -154,7 +157,7 @@ fn main() -> ExitCode {
                     report.bulk.reposts,
                     report.reliable.stream_bytes,
                     report.reliable.rd_msgs,
-                    iwarp_common::ccalgo::default_algo(),
+                    opts.cc,
                 );
             }
         } else {

@@ -17,9 +17,9 @@
 //! * [`algo`] — the [`algo::CongestionControl`] trait
 //!   (`on_ack` / `on_sack_gap` / `on_rto` / `on_send` → cwnd + pacing)
 //!   with three implementations: [`algo::Fixed`] (the legacy
-//!   fixed-window baseline, the default), [`algo::NewReno`], and
-//!   [`algo::Cubic`]. Selection rides the
-//!   [`iwarp_common::ccalgo::CcAlgo`] knob.
+//!   fixed-window baseline, an opt-in reference), [`algo::NewReno`] (the
+//!   default), and [`algo::Cubic`]. Selection rides the
+//!   [`iwarp_common::ccalgo::CcAlgo`] field of each conduit's config.
 //!
 //! Everything here is deterministic and RNG-free: engine state is a pure
 //! function of the event sequence, so seeded chaos replays stay

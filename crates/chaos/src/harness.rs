@@ -18,7 +18,7 @@ use iwarp::read::{BulkRead, BulkReadConfig, RecoveryConfig, SignalInterval};
 use iwarp::wr::RecvWr;
 use iwarp::{Access, Cq, Cqe, CqeOpcode, CqeStatus, Device, QpConfig, UdQp};
 use iwarp_common::burstpath::BurstPath;
-use iwarp_common::ccalgo::{self, CcAlgo};
+use iwarp_common::ccalgo::CcAlgo;
 use iwarp_common::copypath::CopyPath;
 use iwarp_common::rng::{derive_seed, mix64};
 use iwarp_socket::{SocketConfig, SocketStack};
@@ -75,9 +75,10 @@ pub struct ChaosOpts {
     /// must be byte-identical either way (see `tests/determinism.rs`).
     pub burst_path: BurstPath,
     /// Congestion-control algorithm the reliable phase's stream and
-    /// rdgram conduits run under. The verbs and socket phases never touch
-    /// the reliable transports, so their fault traces are byte-identical
-    /// across every `CcAlgo` value (see `tests/recovery.rs`).
+    /// rdgram conduits run under (default `NewReno`). The verbs and
+    /// socket phases never touch the reliable transports, so their fault
+    /// traces are byte-identical across every `CcAlgo` value (see
+    /// `tests/recovery.rs`).
     pub cc: CcAlgo,
 }
 
@@ -91,7 +92,7 @@ impl Default for ChaosOpts {
             bulk_batches: 24,
             forensic: false,
             burst_path: iwarp_common::burstpath::default_path(),
-            cc: ccalgo::default_algo(),
+            cc: CcAlgo::NewReno,
         }
     }
 }

@@ -1,26 +1,24 @@
-//! Process-wide default for which congestion-control algorithm the
-//! reliable paths run.
+//! Which congestion-control algorithm the reliable paths run.
 //!
 //! The loss-recovery subsystem (`iwarp-cc`) gives `simnet::stream` and
 //! `simnet::rdgram` a shared selective-repeat engine with a pluggable
 //! congestion controller. Which controller a conduit uses is a per-config
-//! knob (`StreamConfig::cc`, `RdConfig::cc`); like [`crate::copypath`]
-//! and [`crate::burstpath`], this module only stores the *default* those
-//! configs pick up at construction time. The default is
+//! field (`StreamConfig::cc`, `RdConfig::cc`, `ChaosOpts::cc`) whose
+//! default is [`CcAlgo::NewReno`]; there is no process-wide setting.
 //! [`CcAlgo::Fixed`] — a fixed window with the legacy fixed retransmit
-//! timer — so chaos/determinism baselines are untouched unless a run
-//! opts in (`--cc newreno` / `--cc cubic`).
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! timer — is an explicit opt-in (`--cc fixed`), kept as the reference
+//! the recovery gate and the cross-algorithm determinism sweeps compare
+//! against.
 
 /// Which congestion-control algorithm a reliable path runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CcAlgo {
     /// Fixed window, fixed (non-adaptive) retransmission timer. The
-    /// legacy behavior and the default.
+    /// legacy behavior, kept as an opt-in reference.
     Fixed,
     /// NewReno-style slow start / congestion avoidance / fast recovery
-    /// with an RFC-6298 adaptive RTO.
+    /// with an RFC-6298 adaptive RTO. The default of every reliable-path
+    /// config.
     NewReno,
     /// CUBIC window growth (concave/convex probing around the last loss
     /// window) with an RFC-6298 adaptive RTO.
@@ -56,31 +54,6 @@ impl CcAlgo {
 impl std::fmt::Display for CcAlgo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-static DEFAULT: AtomicU8 = AtomicU8::new(0); // 0 = Fixed
-
-/// Sets the process-wide default algorithm picked up by reliable-path
-/// configs at construction time (e.g. from `recovery --cc newreno`).
-pub fn set_default(algo: CcAlgo) {
-    DEFAULT.store(
-        match algo {
-            CcAlgo::Fixed => 0,
-            CcAlgo::NewReno => 1,
-            CcAlgo::Cubic => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current process-wide default algorithm.
-#[must_use]
-pub fn default_algo() -> CcAlgo {
-    match DEFAULT.load(Ordering::Relaxed) {
-        1 => CcAlgo::NewReno,
-        2 => CcAlgo::Cubic,
-        _ => CcAlgo::Fixed,
     }
 }
 

@@ -36,11 +36,11 @@
 //!   one packet per call ([`burstpath::BurstPath::PerPacket`]) or batch
 //!   vectors of packets per fabric/CQ lock round
 //!   ([`burstpath::BurstPath::Burst`]), so benches can A/B the two.
-//! * [`ccalgo`] — the analogous default for which congestion-control
-//!   algorithm the reliable paths run ([`ccalgo::CcAlgo::Fixed`] legacy
-//!   fixed-window baseline, [`ccalgo::CcAlgo::NewReno`] or
-//!   [`ccalgo::CcAlgo::Cubic`] adaptive recovery from `iwarp-cc`), so the
-//!   recovery bench and chaos harness can sweep the algorithms.
+//! * [`ccalgo`] — the congestion-control algorithm selector the reliable
+//!   paths' configs carry ([`ccalgo::CcAlgo::NewReno`], the default, or
+//!   [`ccalgo::CcAlgo::Cubic`] adaptive recovery from `iwarp-cc`; the
+//!   legacy fixed-window [`ccalgo::CcAlgo::Fixed`] as an opt-in). A plain
+//!   per-config value, not a process-wide default.
 
 //! * [`affinity`] — best-effort CPU pinning for shard/bench worker
 //!   threads (raw `sched_setaffinity`, no-op off Linux) plus the

@@ -26,6 +26,12 @@ const FLAG_CRC: u8 = 0x02;
 /// Encoded handshake frame length: magic(8) + flags(1) + qpn(4).
 const FRAME_LEN: usize = 13;
 
+/// How long either side of an RC connection waits for the peer's MPA
+/// frame once the stream is up. Independent of the listener's accept
+/// poll: a passive side polling `accept` with a short timeout must still
+/// give a slow requester this long to send its MPA Request.
+pub const MPA_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
 fn encode(magic: &[u8; 8], cfg: MpaConfig, qpn: u32) -> BytesMut {
     let mut b = BytesMut::with_capacity(FRAME_LEN);
     b.extend_from_slice(magic);

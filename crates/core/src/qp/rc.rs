@@ -664,6 +664,11 @@ impl RcListener {
 
     /// Accepts one connection and completes MPA negotiation, returning an
     /// operational RC QP bound to the given completion queues.
+    ///
+    /// `timeout` bounds only the wait for an incoming stream connection;
+    /// once one is accepted, MPA negotiation gets the full
+    /// [`cm::MPA_HANDSHAKE_TIMEOUT`], so a short accept poll never drops
+    /// a connection whose MPA Request is still in flight.
     pub fn accept(
         &self,
         timeout: Duration,
@@ -673,7 +678,8 @@ impl RcListener {
     ) -> IwarpResult<RcQp> {
         let stream = self.listener.accept(Some(timeout))?;
         let qpn = self.next_qpn.fetch_add(1, Ordering::Relaxed);
-        let (peer_qpn, negotiated) = cm::mpa_accept(&stream, qpn, self.mpa, timeout)?;
+        let (peer_qpn, negotiated) =
+            cm::mpa_accept(&stream, qpn, self.mpa, cm::MPA_HANDSHAKE_TIMEOUT)?;
         let mem = self
             .mem
             .as_ref()
@@ -710,7 +716,7 @@ pub(crate) fn rc_connect(
 ) -> IwarpResult<RcQp> {
     let stream = StreamConduit::connect(fabric, local_node, remote, stream_cfg)?;
     let qpn = next_qpn.fetch_add(1, Ordering::Relaxed);
-    let (peer_qpn, negotiated) = cm::mpa_connect(&stream, qpn, mpa, Duration::from_secs(5))?;
+    let (peer_qpn, negotiated) = cm::mpa_connect(&stream, qpn, mpa, cm::MPA_HANDSHAKE_TIMEOUT)?;
     let mem = mem.map(|r| r.track("qp_rc", std::mem::size_of::<RcInner>() as u64));
     Ok(RcQp::build(RcQpParts {
         qpn,

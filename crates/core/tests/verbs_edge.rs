@@ -237,3 +237,37 @@ fn ud_multicast_send_reaches_every_member_qp() {
     let rd = rd_dev.create_rd_qp(None, &scq, &rcq, QpConfig::default()).unwrap();
     assert!(rd.join_multicast(group).is_err());
 }
+
+#[test]
+fn mpa_request_delayed_past_accept_poll_still_yields_qp() {
+    // A server polling `accept` with a short timeout (as the SIP RC loop
+    // does) must not drop a connection whose MPA Request arrives after
+    // that poll expired: the poll bounds only the wait for a connection.
+    let fab = Fabric::loopback();
+    let dev = Device::new(&fab, NodeId(1));
+    let listener = dev.rc_listen(4400).unwrap();
+    let (s, r) = (Cq::new(16), Cq::new(16));
+    std::thread::scope(|sc| {
+        let cli = sc.spawn(|| {
+            let stream = simnet::StreamConduit::connect(
+                &fab,
+                NodeId(0),
+                Addr::new(1, 4400),
+                simnet::stream::StreamConfig::default(),
+            )
+            .unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            iwarp::cm::mpa_connect(&stream, 77, iwarp::mpa::MpaConfig::default(), TO)
+        });
+        let deadline = std::time::Instant::now() + TO;
+        let qp = loop {
+            match listener.accept(Duration::from_millis(1), &s, &r, QpConfig::default()) {
+                Ok(qp) => break qp,
+                Err(e) => assert!(std::time::Instant::now() < deadline, "no QP: {e}"),
+            }
+        };
+        assert_eq!(qp.peer_qpn(), 77);
+        let (server_qpn, _) = cli.join().unwrap().expect("client MPA handshake");
+        assert_eq!(server_qpn, qp.qpn());
+    });
+}

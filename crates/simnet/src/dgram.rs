@@ -8,13 +8,17 @@
 //!   of the smaller packets making up this large UDP packet results in the
 //!   entire (up to 64KB) message being dropped" (paper §VI.A.2);
 //! * no delivery, ordering or duplication guarantees;
-//! * receive is timeout-based.
+//! * receive is timeout-based;
+//! * the reassembly table is bounded: partial datagrams hold at most
+//!   [`REASSEMBLY_BUDGET`] bytes per conduit (oldest evicted first) and
+//!   are reaped once past a fixed TTL, as the kernel bounds IP fragment
+//!   queues.
 //!
 //! The UDP checksum is deliberately *not* computed: the paper recommends
 //! disabling UDP-level CRC because datagram-iWARP's DDP layer always
 //! carries its own CRC32 (§V).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
@@ -53,6 +57,14 @@ pub const MAX_DATAGRAM: usize = 65_507;
 /// (the kernel's `ipfrag_time` analog, scaled down for tests).
 const REASSEMBLY_TTL: Duration = Duration::from_secs(3);
 
+/// Most bytes one conduit's partially reassembled datagrams may hold (the
+/// kernel's `ipfrag_high_thresh` default). A new partial that would cross
+/// it evicts the oldest partials first; a completed datagram never
+/// counts against it once delivered.
+pub const REASSEMBLY_BUDGET: usize = 4 << 20;
+
+type PartialKey = (Addr, u32);
+
 struct Partial {
     total_len: u32,
     frag_count: u16,
@@ -62,13 +74,53 @@ struct Partial {
     /// fabric's pool; fragments can arrive out of order, offsets are
     /// computed from the fragment index.
     buf: PoolBuf,
-    /// When this partial was created, for TTL-based reaping.
+    /// When this partial was created: its TTL clock and its place in
+    /// [`Reassembly::order`].
     created: Instant,
 }
 
+/// The reassembly table. `order` indexes `partials` by creation time,
+/// oldest first, so TTL reaping and budget eviction both pop from its
+/// front in O(log n) without scanning the table.
 struct Reassembly {
-    partials: HashMap<(Addr, u32), Partial>,
-    last_gc: Instant,
+    partials: HashMap<PartialKey, Partial>,
+    order: BTreeSet<(Instant, PartialKey)>,
+    /// Sum of `total_len` over `partials`, mirrored into the
+    /// `simnet.dgram.reasm_bytes` gauge.
+    bytes: usize,
+    reasm_bytes: Counter,
+}
+
+impl Reassembly {
+    fn insert(&mut self, key: PartialKey, p: Partial) {
+        self.bytes += p.total_len as usize;
+        self.reasm_bytes.add(u64::from(p.total_len));
+        self.order.insert((p.created, key));
+        self.partials.insert(key, p);
+    }
+
+    fn remove(&mut self, key: &PartialKey) -> Option<Partial> {
+        let p = self.partials.remove(key)?;
+        self.order.remove(&(p.created, *key));
+        self.bytes -= p.total_len as usize;
+        self.reasm_bytes.sub(u64::from(p.total_len));
+        Some(p)
+    }
+
+    /// Removes the oldest partial if `stale` says its creation time
+    /// should go.
+    fn pop_oldest_if(&mut self, stale: impl FnOnce(Instant) -> bool) -> bool {
+        match self.order.first() {
+            Some(&(created, key)) if stale(created) => self.remove(&key).is_some(),
+            _ => false,
+        }
+    }
+}
+
+impl Drop for Reassembly {
+    fn drop(&mut self) {
+        self.reasm_bytes.sub(self.bytes as u64);
+    }
 }
 
 /// Telemetry handles resolved once at bind time (see `FabricTel`).
@@ -78,6 +130,9 @@ struct DgramTel {
     tx_fragments: Counter,
     rx_datagrams: Counter,
     partials_expired: Counter,
+    /// Partials evicted to keep the table within [`REASSEMBLY_BUDGET`]
+    /// (kept apart from TTL expiry in `partials_expired`).
+    partials_evicted: Counter,
     /// Payload bytes memcpy'd on this conduit's datapath (legacy
     /// per-fragment copies, reassembly fills, flattens). The zero-copy
     /// work exists to drive this down; snapshots expose it as
@@ -90,7 +145,9 @@ struct DgramTel {
 pub struct DgramConduit {
     ep: Endpoint,
     next_id: AtomicU32,
-    reasm: Mutex<Reassembly>,
+    /// Boxed: only multi-fragment datagrams touch it, and keeping it out
+    /// of line keeps the conduit small enough to embed by value.
+    reasm: Mutex<Box<Reassembly>>,
     /// Fragment payload capacity per wire packet.
     frag_payload: usize,
     /// Which transmit datapath [`DgramConduit::send_to`] uses; the
@@ -120,6 +177,7 @@ impl DgramConduit {
             tx_fragments: t.counter("simnet.dgram.tx_fragments"),
             rx_datagrams: t.counter("simnet.dgram.rx_datagrams"),
             partials_expired: t.counter("simnet.dgram.partials_expired"),
+            partials_evicted: t.counter("simnet.dgram.partials_evicted"),
             bytes_copied: t.counter("pool.bytes_copied"),
             msg_bytes: t.histogram("simnet.dgram.msg_bytes"),
             tel: t,
@@ -127,10 +185,12 @@ impl DgramConduit {
         Self {
             ep,
             next_id: AtomicU32::new(1),
-            reasm: Mutex::new(Reassembly {
+            reasm: Mutex::new(Box::new(Reassembly {
                 partials: HashMap::new(),
-                last_gc: Instant::now(),
-            }),
+                order: BTreeSet::new(),
+                bytes: 0,
+                reasm_bytes: tel.tel.counter("simnet.dgram.reasm_bytes"),
+            })),
             frag_payload,
             copy_path: copypath::default_path(),
             pool,
@@ -530,30 +590,32 @@ impl DgramConduit {
         }
 
         let mut g = self.reasm.lock();
-        let now = Instant::now();
-        if now.duration_since(g.last_gc) > REASSEMBLY_TTL {
-            let before = g.partials.len();
-            g.partials
-                .retain(|_, p| now.duration_since(p.created) <= REASSEMBLY_TTL);
-            self.tel
-                .partials_expired
-                .add((before - g.partials.len()) as u64);
-            g.last_gc = now;
-        }
         let key = (src, id);
+        if !g.partials.contains_key(&key) {
+            // Room for a new partial: first reap partials past their TTL,
+            // then evict the oldest until the budget holds it.
+            let now = Instant::now();
+            while g.pop_oldest_if(|created| now.duration_since(created) > REASSEMBLY_TTL) {
+                self.tel.partials_expired.inc();
+            }
+            while g.bytes + total_len as usize > REASSEMBLY_BUDGET && g.pop_oldest_if(|_| true) {
+                self.tel.partials_evicted.inc();
+            }
+            let p = Partial {
+                total_len,
+                frag_count: cnt,
+                received_mask: vec![false; usize::from(cnt)],
+                received: 0,
+                buf: self.pool.get(total_len as usize),
+                created: now,
+            };
+            g.insert(key, p);
+        }
         let frag_payload = self.frag_payload;
-        let pool = &self.pool;
-        let p = g.partials.entry(key).or_insert_with(|| Partial {
-            total_len,
-            frag_count: cnt,
-            received_mask: vec![false; usize::from(cnt)],
-            received: 0,
-            buf: pool.get(total_len as usize),
-            created: now,
-        });
+        let p = g.partials.get_mut(&key).expect("present");
         if p.frag_count != cnt || p.total_len != total_len {
             // Conflicting metadata for the same id — drop the partial.
-            g.partials.remove(&key);
+            g.remove(&key);
             return None;
         }
         let i = usize::from(idx);
@@ -564,7 +626,7 @@ impl DgramConduit {
         let end = (start + body.len()).min(p.buf.len());
         if end - start != body.len() {
             // Length inconsistent with the advertised total; discard.
-            g.partials.remove(&key);
+            g.remove(&key);
             return None;
         }
         body.copy_to_slice(&mut p.buf[start..end]);
@@ -572,7 +634,7 @@ impl DgramConduit {
         p.received_mask[i] = true;
         p.received += 1;
         if p.received == p.frag_count {
-            let done = g.partials.remove(&key).expect("present");
+            let done = g.remove(&key).expect("present");
             self.tel.rx_datagrams.inc();
             return Some((src, SgBytes::from(done.buf.freeze())));
         }

@@ -15,10 +15,11 @@
 //! Loss recovery is delegated to [`iwarp_cc::RecoveryEngine`] (one per
 //! peer): the engine owns the selective-repeat scoreboard, the RFC-6298
 //! RTT estimator behind the retransmission timer, and the congestion
-//! window. With the default [`CcAlgo::Fixed`] the conduit behaves like
-//! the legacy implementation — fixed window, fixed timer, timer-driven
-//! recovery only; `newreno`/`cubic` add SACK-gap fast retransmit and an
-//! adaptive window on top of the same wire format.
+//! window. The default [`CcAlgo::NewReno`] (and `cubic`) adds SACK-gap
+//! fast retransmit, an adaptive RTO and an adaptive window; the opt-in
+//! [`CcAlgo::Fixed`] behaves like the legacy implementation — fixed
+//! window, fixed timer, timer-driven recovery only. Every algorithm
+//! speaks the same wire format.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use iwarp_cc::{RecoveryConfig, RecoveryEngine};
-use iwarp_common::ccalgo::{self, CcAlgo};
+use iwarp_common::ccalgo::CcAlgo;
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
 use parking_lot::{Condvar, Mutex};
 
@@ -73,8 +74,8 @@ pub struct RdConfig {
     /// a 64 KiB datagram (≈44 fragments) survives only ~10% of attempts,
     /// so tens of retransmissions are routine, not pathological.
     pub max_retries: u32,
-    /// Congestion-control algorithm (defaults to the process-wide
-    /// [`ccalgo::default_algo`], normally `Fixed`).
+    /// Congestion-control algorithm (default [`CcAlgo::NewReno`];
+    /// [`CcAlgo::Fixed`] opts into the legacy constant timer).
     pub cc: CcAlgo,
     /// Spread sends over the smoothed RTT instead of bursting the whole
     /// window (adaptive algorithms only).
@@ -90,7 +91,7 @@ impl Default for RdConfig {
             min_rto: Duration::from_millis(2),
             max_rto: Duration::from_secs(1),
             max_retries: 150,
-            cc: ccalgo::default_algo(),
+            cc: CcAlgo::NewReno,
             paced: false,
         }
     }

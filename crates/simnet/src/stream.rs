@@ -30,7 +30,7 @@ use iwarp_cc::{RecoveryConfig, RecoveryEngine};
 use iwarp_telemetry::{Counter, EndpointId, EventKind, Telemetry};
 use parking_lot::{Condvar, Mutex};
 
-use iwarp_common::ccalgo::{self, CcAlgo};
+use iwarp_common::ccalgo::CcAlgo;
 use iwarp_common::memacct::{MemRegistry, MemScope};
 
 use crate::error::{NetError, NetResult};
@@ -49,8 +49,9 @@ const FLAG_FIN: u8 = 0x04;
 const FLAG_RST: u8 = 0x08;
 /// The payload of this (pure-ACK) segment is SACK metadata — pairs of
 /// big-endian u64 `(lo, hi)` byte ranges the receiver holds out of order
-/// — not stream data. Only emitted when an adaptive congestion-control
-/// algorithm is configured, so the default wire traffic is unchanged.
+/// — not stream data. Only emitted under an adaptive congestion-control
+/// algorithm (the default), so the opt-in `Fixed` wire traffic matches
+/// the pre-engine format.
 const FLAG_SACK: u8 = 0x10;
 
 /// Hard cap on handshake retransmissions before the connection errors
@@ -72,17 +73,19 @@ pub struct StreamConfig {
     pub rto_initial: Duration,
     /// Upper bound on the backed-off retransmission timeout.
     pub rto_max: Duration,
-    /// Lower bound on the adaptive retransmission timeout. Only applies
-    /// under an adaptive `cc` algorithm; `CcAlgo::Fixed` floors the timer
-    /// at `rto_initial`, matching the pre-engine behaviour.
+    /// Lower bound on the adaptive retransmission timeout, which applies
+    /// under the default (adaptive) `cc`; the opt-in `CcAlgo::Fixed`
+    /// floors the timer at `rto_initial`, matching the pre-engine
+    /// behaviour.
     pub min_rto: Duration,
     /// Established-phase retransmissions of one segment before the
     /// connection errors out.
     pub max_retries: u32,
-    /// Congestion-control algorithm for the data phase. `Fixed` (the
-    /// process default unless overridden) preserves the legacy behaviour:
-    /// flow control by the peer's advertised window only, constant-base
-    /// RTO, no SACK blocks on the wire.
+    /// Congestion-control algorithm for the data phase. The default
+    /// `NewReno` adds a congestion window, an adaptive RTO and SACK
+    /// blocks on pure ACKs. `Fixed` (opt-in) preserves the legacy
+    /// behaviour: flow control by the peer's advertised window only,
+    /// constant-base RTO, no SACK blocks on the wire.
     pub cc: CcAlgo,
     /// How long `connect` waits for the handshake to complete.
     pub connect_timeout: Duration,
@@ -106,7 +109,7 @@ impl Default for StreamConfig {
             rto_max: Duration::from_secs(1),
             min_rto: Duration::from_millis(1),
             max_retries: 30,
-            cc: ccalgo::default_algo(),
+            cc: CcAlgo::NewReno,
             connect_timeout: Duration::from_secs(5),
             mem: None,
             poll_mode: false,

@@ -3,6 +3,8 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use simnet::dgram::{FRAG_HEADER, PROTO_DGRAM, REASSEMBLY_BUDGET};
+use simnet::fabric::Endpoint;
 use simnet::rdgram::RdConfig;
 use simnet::stream::StreamConfig;
 use simnet::{Addr, DgramConduit, Fabric, LossModel, NetError, NodeId, RdConduit, StreamConduit,
@@ -24,9 +26,12 @@ fn rd_window_limits_outstanding_messages() {
     // Window of 2 toward a dead peer: the third send must block until the
     // sender gives up waiting (we bound the test with a thread + deadline).
     let fab = Fabric::loopback();
+    // Few retries: under the default adaptive RTO each one backs off
+    // exponentially, and the default budget would take minutes to spend.
     let cfg = RdConfig {
         window: 2,
         rto: Duration::from_millis(10),
+        max_retries: 6,
         ..RdConfig::default()
     };
     let a = RdConduit::bind(&fab, Addr::new(0, 2), cfg).unwrap();
@@ -185,4 +190,58 @@ fn multicast_join_requires_group_address() {
     let fab = Fabric::loopback();
     let c = DgramConduit::bind(&fab, Addr::new(0, 2)).unwrap();
     assert!(c.join_multicast(Addr::new(3, 3)).is_err());
+}
+
+/// Sends every fragment of a `len`-byte datagram `id` except its last,
+/// as raw wire frames in the datagram conduit's fragment format.
+fn send_all_but_last_fragment(ep: &Endpoint, dst: Addr, id: u32, len: usize) {
+    let frag = ep.mtu() - FRAG_HEADER;
+    let cnt = len.div_ceil(frag) as u16;
+    for idx in 0..cnt - 1 {
+        let mut f = Vec::with_capacity(FRAG_HEADER + frag);
+        f.push(PROTO_DGRAM);
+        f.extend_from_slice(&id.to_be_bytes());
+        f.extend_from_slice(&idx.to_be_bytes());
+        f.extend_from_slice(&cnt.to_be_bytes());
+        f.extend_from_slice(&(len as u32).to_be_bytes());
+        f.resize(FRAG_HEADER + frag, idx as u8);
+        ep.send_to(dst, Bytes::from(f)).unwrap();
+    }
+}
+
+#[test]
+fn reassembly_table_stays_within_byte_budget() {
+    // A flood of datagrams that each lose one fragment must not grow the
+    // reassembly table past its byte budget: the oldest partials are
+    // evicted (counted apart from TTL expiry), and a complete datagram
+    // sent after the flood is still delivered whole.
+    const LEN: usize = 60_000;
+    let fab = Fabric::loopback();
+    let rx = DgramConduit::bind(&fab, Addr::new(1, 500)).unwrap();
+    let raw = fab.bind(Addr::new(0, 500)).unwrap();
+    let counter = |name: &str| fab.telemetry().snapshot().get(name).unwrap_or(0);
+    let flood = 3 * REASSEMBLY_BUDGET / LEN;
+    for id in 0..flood as u32 {
+        send_all_but_last_fragment(&raw, rx.local_addr(), id, LEN);
+        assert!(rx.try_recv_from().is_err(), "incomplete datagram {id} delivered");
+        let held = counter("simnet.dgram.reasm_bytes");
+        assert!(held <= REASSEMBLY_BUDGET as u64, "datagram {id}: {held} bytes held");
+    }
+    let kept = REASSEMBLY_BUDGET / LEN;
+    assert_eq!(rx.pending_partials(), kept);
+    assert_eq!(counter("simnet.dgram.reasm_bytes"), (kept * LEN) as u64);
+    assert_eq!(counter("simnet.dgram.partials_evicted"), (flood - kept) as u64);
+    assert_eq!(counter("simnet.dgram.partials_expired"), 0);
+
+    let tx = DgramConduit::bind(&fab, Addr::new(2, 500)).unwrap();
+    let payload: Vec<u8> = (0..LEN as u32).map(|i| (i % 253) as u8).collect();
+    tx.send_to(rx.local_addr(), Bytes::from(payload.clone())).unwrap();
+    let (src, got) = rx.recv_from(Some(Duration::from_secs(1))).unwrap();
+    assert_eq!(src, tx.local_addr());
+    assert_eq!(&got[..], &payload[..]);
+    // Its reassembly made room by evicting one more dead partial.
+    assert_eq!(counter("simnet.dgram.reasm_bytes"), ((kept - 1) * LEN) as u64);
+
+    drop(rx);
+    assert_eq!(counter("simnet.dgram.reasm_bytes"), 0, "gauge outlived its conduit");
 }

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-/// A monotonically increasing event counter.
+/// A named event counter (monotonically increasing unless used as a
+/// gauge via [`Counter::sub`]).
 ///
 /// Cheap to clone (shared cell); increments are single relaxed RMW
 /// operations, so holding a handle on a per-byte hot path costs roughly
@@ -35,6 +36,14 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.cell.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtracts `n`, so a handle can serve as a gauge (bytes held,
+    /// entries live). Snapshot deltas saturate at zero, so a gauge that
+    /// fell between two snapshots is absent from their delta.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.cell.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.

@@ -16,6 +16,12 @@ cargo test -q
 echo "==> cargo test --workspace -q (per-crate suites)"
 cargo test --workspace -q
 
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (benchmark self-tests)"
+# perfbench is its own workspace (see BENCHMARK.json); its self-tests
+# check determinism per seed, planted-corruption detection in every
+# workload, CLI exit codes, and that BENCHMARK.json matches its output.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -33,10 +39,11 @@ for bpath in per-packet burst; do
     cargo run --release -p iwarp-bench --bin chaos -- --plans 25 --burst-path "$bpath"
 done
 
-echo "==> chaos smoke under adaptive congestion control (newreno)"
-# Same adversary, reliable phase driven by NewReno instead of the legacy
-# fixed window — verbs/socket fault traces must stay seed-deterministic.
-cargo run --release -p iwarp-bench --bin chaos -- --plans 25 --cc newreno
+echo "==> chaos smoke under the legacy fixed-window controller (--cc fixed)"
+# The smokes above run the default NewReno; this keeps the opt-in legacy
+# fixed window under the same adversary — verbs/socket fault traces must
+# stay seed-deterministic.
+cargo run --release -p iwarp-bench --bin chaos -- --plans 25 --cc fixed
 
 echo "==> burst smoke: batched-verbs datapath A/B at the acceptance cell"
 # Fails unless burst-32 x 64 B beats per-packet >= 2x msgs/s AND both

@@ -13,6 +13,9 @@
 //!   and socket phases run on the unreliable paths, which the controller
 //!   does not touch: their fault traces must be bit-identical whatever
 //!   `ChaosOpts::cc` says, and stable across repeat runs (replay).
+//! * **Adaptive by default.** Every reliable-path config defaults to
+//!   `NewReno` as a plain field value; the legacy `fixed` controller is
+//!   an explicit opt-in and the reference the sweeps compare against.
 
 use std::time::Duration;
 
@@ -33,6 +36,16 @@ fn pattern(len: usize, salt: u64) -> Vec<u8> {
     (0..len)
         .map(|i| ((i as u64).wrapping_mul(31).wrapping_add(salt) % 251) as u8)
         .collect()
+}
+
+/// The reliable conduits and the chaos harness default to NewReno as a
+/// plain field value: there is no process-wide default to set first, so
+/// a fresh config is adaptive whatever else the process has configured.
+#[test]
+fn reliable_configs_default_to_newreno() {
+    assert_eq!(StreamConfig::default().cc, CcAlgo::NewReno);
+    assert_eq!(RdConfig::default().cc, CcAlgo::NewReno);
+    assert_eq!(ChaosOpts::default().cc, CcAlgo::NewReno);
 }
 
 /// A seeded 5%-loss stream transfer delivers the same bytes, in order,
