@@ -13,13 +13,15 @@
 //! two Gilbert–Elliott burst models (2% avg × 8-packet bursts, 5% avg ×
 //! 16-packet bursts); controllers are `fixed` (the legacy constant-RTO,
 //! static-window behavior), `newreno` and `cubic` (RFC-6298 adaptive RTO
-//! + SACK fast retransmit + adaptive window).
+//! + RACK-TLP loss detection + adaptive window).
 //!
 //! Results land in `BENCH_PR6.json` with an acceptance block: the best
 //! adaptive controller must deliver **≥2×** the fixed-path rdgram
 //! goodput at 1% Bernoulli loss and strictly beat it under both GE
 //! burst models. `--smoke` runs just the 1% rdgram cell for
-//! fixed/newreno and enforces the 2× gate (the CI hook).
+//! fixed/newreno and enforces the 2× gate (the CI hook). Every cell also
+//! reports the RACK-TLP counters (`rack_lost`, `tlp_probes`; always 0
+//! under `fixed`).
 
 use std::fmt::Write as _;
 use std::fs;
@@ -124,18 +126,33 @@ struct RunResult {
     elapsed: Duration,
     /// Messages (rdgram) or bytes (stream) delivered per second.
     rate: f64,
+    cc: CcCounts,
+}
+
+/// The `cc.*` recovery counters one run accumulated.
+#[derive(Clone, Copy)]
+struct CcCounts {
     retransmits: u64,
     rto_fired: u64,
     fast_retransmits: u64,
+    /// Segments RACK marked lost (time-based, from SACK evidence).
+    rack_lost: u64,
+    /// Tail-loss probes sent before an RTO.
+    tlp_probes: u64,
 }
 
-fn cc_counters(fab: &Fabric) -> (u64, u64, u64) {
-    let snap = fab.telemetry().snapshot();
-    (
-        snap.get("cc.retransmits").unwrap_or(0),
-        snap.get("cc.rto_fired").unwrap_or(0),
-        snap.get("cc.fast_retransmits").unwrap_or(0),
-    )
+impl CcCounts {
+    fn of(fab: &Fabric) -> Self {
+        let snap = fab.telemetry().snapshot();
+        let get = |name: &str| snap.get(name).unwrap_or(0);
+        Self {
+            retransmits: get("cc.retransmits"),
+            rto_fired: get("cc.rto_fired"),
+            fast_retransmits: get("cc.fast_retransmits"),
+            rack_lost: get("cc.rack_lost"),
+            tlp_probes: get("cc.tlp_probes"),
+        }
+    }
 }
 
 /// One-way reliable-datagram flood: `msgs` × 1 KiB messages, elapsed
@@ -172,13 +189,10 @@ fn run_rdgram(point: &LossPoint, algo: CcAlgo, msgs: usize, wire_seed: u64) -> R
         rxh.join().expect("rd receiver");
     });
     let elapsed = start.elapsed();
-    let (retransmits, rto_fired, fast_retransmits) = cc_counters(&fab);
     RunResult {
         elapsed,
         rate: msgs as f64 / elapsed.as_secs_f64(),
-        retransmits,
-        rto_fired,
-        fast_retransmits,
+        cc: CcCounts::of(&fab),
     }
 }
 
@@ -215,13 +229,10 @@ fn run_stream(point: &LossPoint, algo: CcAlgo, bytes: usize, wire_seed: u64) -> 
         elapsed = start.elapsed();
         client.close();
     });
-    let (retransmits, rto_fired, fast_retransmits) = cc_counters(&fab);
     RunResult {
         elapsed,
         rate: bytes as f64 / elapsed.as_secs_f64(),
-        retransmits,
-        rto_fired,
-        fast_retransmits,
+        cc: CcCounts::of(&fab),
     }
 }
 
@@ -236,9 +247,17 @@ fn smoke(args: &Args) -> ExitCode {
     let newreno = run_rdgram(&point, CcAlgo::NewReno, msgs, derive_seed(args.seed, 1));
     let ratio = newreno.rate / fixed.rate;
     println!(
-        "recovery --smoke: rdgram @1% bernoulli — fixed {:.0} msg/s ({} rtx), \
-         newreno {:.0} msg/s ({} rtx), ratio {ratio:.2}x (target 2.0x)",
-        fixed.rate, fixed.retransmits, newreno.rate, newreno.retransmits,
+        "recovery --smoke: rdgram @1% bernoulli — fixed {:.0} msg/s ({} rtx, {} rto), \
+         newreno {:.0} msg/s ({} rtx, {} rto, {} rack-lost, {} tlp), ratio {ratio:.2}x \
+         (target 2.0x)",
+        fixed.rate,
+        fixed.cc.retransmits,
+        fixed.cc.rto_fired,
+        newreno.rate,
+        newreno.cc.retransmits,
+        newreno.cc.rto_fired,
+        newreno.cc.rack_lost,
+        newreno.cc.tlp_probes,
     );
     if ratio >= 2.0 {
         println!("recovery smoke PASSED");
@@ -283,17 +302,19 @@ fn main() -> ExitCode {
             let rd = run_rdgram(point, algo, args.msgs, wire_seed);
             let st = run_stream(point, algo, args.bytes, wire_seed);
             eprintln!(
-                "  {:9} {:5.1}% {:8}: rdgram {:8.0} msg/s ({} rtx, {} rto, {} fast) | \
-                 stream {:6.2} MB/s ({} rtx)",
+                "  {:9} {:5.1}% {:8}: rdgram {:8.0} msg/s ({} rtx, {} rto, {} fast, {} rack, \
+                 {} tlp) | stream {:6.2} MB/s ({} rtx)",
                 point.kind,
                 point.rate * 100.0,
                 algo.to_string(),
                 rd.rate,
-                rd.retransmits,
-                rd.rto_fired,
-                rd.fast_retransmits,
+                rd.cc.retransmits,
+                rd.cc.rto_fired,
+                rd.cc.fast_retransmits,
+                rd.cc.rack_lost,
+                rd.cc.tlp_probes,
                 st.rate / 1e6,
-                st.retransmits,
+                st.cc.retransmits,
             );
             for (workload, r, unit) in
                 [("rdgram", &rd, "msgs_per_sec"), ("stream", &st, "bytes_per_sec")]
@@ -306,14 +327,17 @@ fn main() -> ExitCode {
                     json,
                     "  {{\"workload\": \"{workload}\", \"loss\": \"{}\", \"rate\": {}, \
                      \"algo\": \"{algo}\", \"elapsed_ms\": {:.3}, \"{unit}\": {:.1}, \
-                     \"retransmits\": {}, \"rto_fired\": {}, \"fast_retransmits\": {}}}",
+                     \"retransmits\": {}, \"rto_fired\": {}, \"fast_retransmits\": {}, \
+                     \"rack_lost\": {}, \"tlp_probes\": {}}}",
                     point.kind,
                     point.rate,
                     r.elapsed.as_secs_f64() * 1e3,
                     r.rate,
-                    r.retransmits,
-                    r.rto_fired,
-                    r.fast_retransmits,
+                    r.cc.retransmits,
+                    r.cc.rto_fired,
+                    r.cc.fast_retransmits,
+                    r.cc.rack_lost,
+                    r.cc.tlp_probes,
                 );
             }
             if point.kind == "bernoulli" && (point.rate - 0.01).abs() < 1e-9 {

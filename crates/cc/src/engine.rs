@@ -29,6 +29,25 @@
 //! reproduce the same scoreboard bit-for-bit. What is *not* deterministic
 //! is the wall clock the IO threads read before calling in — see
 //! DESIGN.md §8 for where that boundary sits in the chaos harness.
+//!
+//! ## Loss detection (RACK-TLP)
+//!
+//! Every algorithm keeps the legacy counting detectors: triple-dup-ACK
+//! for the head and SACK-gap hints for segments below the highest SACKed
+//! sequence. Adaptive algorithms add time-based detection (RFC 8985).
+//! Each segment records its latest transmission time; the engine tracks
+//! the newest transmission the peer has (selectively) acknowledged. An
+//! in-flight segment sent before that one is lost once `SRTT + SRTT/4`
+//! has passed since it was sent — the quarter-SRTT is the reorder window,
+//! and a reorder timer covers segments not yet past it. When no ACK
+//! arrives for `2·SRTT`, the highest in-flight segment is queued once as
+//! a tail-loss probe, without a window cut, so a lost tail is repaired by
+//! the ACK it provokes instead of by the timeout. The probe timer is only
+//! armed when it falls before the RTO, and never sooner than a quarter of
+//! the RTO floor: a caller that sets `min_rto` high to mean "scheduling
+//! jitter is not loss" gets the same promise from the probe.
+//! `CcAlgo::Fixed` gets neither timer. [`RecoveryEngine::deadline`] is the
+//! earliest of the RTO, the reorder timer and the probe timer.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -54,9 +73,9 @@ pub enum SegState {
 struct Seg {
     len: u64,
     state: SegState,
-    /// First transmission time (Karn: only `tx_count == 1` segments
-    /// yield RTT samples).
-    first_tx: Duration,
+    /// Latest transmission time (Karn: only `tx_count == 1` segments
+    /// yield RTT samples, so for those it is also the first).
+    last_tx: Duration,
     /// Total transmissions, including the first.
     tx_count: u32,
     /// SACK/dup-ACK evidence that later data arrived while this didn't.
@@ -158,6 +177,8 @@ struct Tel {
     rto_fired: Counter,
     spurious_rto: Counter,
     sack_gaps: Counter,
+    rack_lost: Counter,
+    tlp_probes: Counter,
     resets: Counter,
 }
 
@@ -174,6 +195,8 @@ impl Tel {
             rto_fired: t.counter("cc.rto_fired"),
             spurious_rto: t.counter("cc.spurious_rto"),
             sack_gaps: t.counter("cc.sack_gaps"),
+            rack_lost: t.counter("cc.rack_lost"),
+            tlp_probes: t.counter("cc.tlp_probes"),
             resets: t.counter("cc.resets"),
         }
     }
@@ -193,9 +216,23 @@ pub struct RecoveryEngine {
     /// Lost segments not currently queued (queue overflow / splits);
     /// swept back in opportunistically.
     unqueued_lost: u32,
+    /// Retransmission (or persist) timer.
     deadline: Option<Duration>,
     /// Highest sequence the peer has selectively acknowledged.
     high_sacked: u64,
+    /// RACK reorder timer: when the next segment sent before `rack`
+    /// leaves its reorder window.
+    reo_deadline: Option<Duration>,
+    /// Tail-loss probe timer.
+    pto_deadline: Option<Duration>,
+    /// A probe went out and no cumulative progress has been seen since.
+    tlp_sent: bool,
+    /// `(transmit time, end)` of the newest transmission the peer has
+    /// acknowledged, cumulatively or selectively (RACK.xmit_ts/end_seq).
+    rack: Option<(Duration, u64)>,
+    /// Smallest RTT sample seen; an ACK sooner than this after a
+    /// retransmission acknowledges the original transmission.
+    min_rtt: Option<Duration>,
     /// Fast-recovery episode high-water mark: the window is only reduced
     /// again once `una` passes this (NewReno-style "recover").
     recover: u64,
@@ -250,6 +287,11 @@ impl RecoveryEngine {
             unqueued_lost: 0,
             deadline: None,
             high_sacked: base,
+            reo_deadline: None,
+            pto_deadline: None,
+            tlp_sent: false,
+            rack: None,
+            min_rtt: None,
             recover: base,
             dead: false,
             last_send: None,
@@ -318,7 +360,8 @@ impl RecoveryEngine {
     }
 
     /// Registers a fresh transmission of `units` and returns its start
-    /// sequence. Arms the RTO if idle.
+    /// sequence. Arms the RTO (and, for adaptive algorithms, the probe
+    /// timer) if idle.
     pub fn on_send(&mut self, t: Duration, units: u64) -> u64 {
         debug_assert!(units > 0, "zero-length send");
         let start = self.nxt;
@@ -327,7 +370,7 @@ impl RecoveryEngine {
             Seg {
                 len: units,
                 state: SegState::InFlight,
-                first_tx: t,
+                last_tx: t,
                 tx_count: 1,
                 dup_hints: 0,
                 queued: false,
@@ -339,6 +382,9 @@ impl RecoveryEngine {
         self.last_send = Some(t);
         if self.deadline.is_none() {
             self.deadline = Some(t + self.rtt.rto());
+        }
+        if self.pto_deadline.is_none() {
+            self.arm_pto(t);
         }
         start
     }
@@ -385,8 +431,9 @@ impl RecoveryEngine {
                     self.unqueued_lost = self.unqueued_lost.saturating_sub(1);
                 }
                 if seg.tx_count == 1 {
-                    sample = Some(t.saturating_sub(seg.first_tx));
+                    sample = Some(t.saturating_sub(seg.last_tx));
                 }
+                self.rack_delivered(t, &seg, end);
             } else {
                 let mut tail = self.segs.remove(&start).expect("just observed");
                 if tail.queued {
@@ -397,8 +444,9 @@ impl RecoveryEngine {
                 }
                 if tail.tx_count == 1 {
                     // The acked prefix of this transmission round-tripped.
-                    sample = Some(t.saturating_sub(tail.first_tx));
+                    sample = Some(t.saturating_sub(tail.last_tx));
                 }
+                self.rack_delivered(t, &tail, ack);
                 tail.len = end - ack;
                 if tail.state == SegState::Lost {
                     self.unqueued_lost += 1;
@@ -411,6 +459,7 @@ impl RecoveryEngine {
         self.high_sacked = self.high_sacked.max(ack);
         if let Some(rtt) = sample {
             self.rtt.on_sample(rtt);
+            self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
             ev.rtt_sample = Some(rtt);
         } else {
             // Progress without a clean sample still proves the path is
@@ -420,6 +469,12 @@ impl RecoveryEngine {
         self.cc.on_ack(t, ev.newly_acked, sample);
         self.deadline =
             (self.outstanding() > 0).then(|| t + self.rtt.rto());
+        if self.outstanding() == 0 {
+            self.reo_deadline = None;
+        }
+        // Cumulative progress ends a probe episode.
+        self.tlp_sent = false;
+        self.arm_pto(t);
         self.record_tel();
         ev
     }
@@ -452,7 +507,7 @@ impl RecoveryEngine {
     /// be retransmitted; partially covered segments stay as they are
     /// (they'll be retired by the cumulative ACK or retransmitted
     /// whole).
-    pub fn on_sack_range(&mut self, _t: Duration, lo: u64, hi: u64) {
+    pub fn on_sack_range(&mut self, t: Duration, lo: u64, hi: u64) {
         if hi <= lo {
             return;
         }
@@ -471,18 +526,47 @@ impl RecoveryEngine {
             // Queued entries are skipped lazily by `pop_rtx`.
             seg.queued = false;
             seg.state = SegState::Sacked;
+            let seg = *seg;
+            self.rack_delivered(t, &seg, s + seg.len);
         }
+        self.arm_pto(t);
     }
 
-    /// Runs gap-based loss detection: every in-flight segment wholly
-    /// below the highest SACKed sequence gains one loss hint; segments
-    /// reaching the dup threshold are marked lost and queued. Call once
-    /// per processed ACK frame. Returns how many segments were newly
-    /// marked.
+    /// Runs loss detection for one ACK frame that carried SACK
+    /// information; call once per such frame. Segments found lost are
+    /// marked and queued; returns how many.
+    ///
+    /// Every algorithm keeps the SACK-gap scoring: each in-flight segment
+    /// wholly below the highest SACKed sequence gains one hint per call
+    /// and is lost at the dup threshold — so a frame without SACK news
+    /// must not call this, or hints pile up faster than evidence does.
+    /// Adaptive algorithms then run [`Self::detect_rack_losses`].
     pub fn detect_losses(&mut self, t: Duration) -> u32 {
-        if self.high_sacked <= self.una {
+        let hinted = self.sack_gap_losses();
+        for &s in &hinted {
+            self.mark_lost(s, t, false);
+        }
+        hinted.len() as u32 + self.detect_rack_losses(t)
+    }
+
+    /// RACK alone (adaptive algorithms; a no-op under `Fixed`): any
+    /// in-flight segment transmitted before the newest acknowledged
+    /// transmission is lost once `SRTT + SRTT/4` has passed since it was
+    /// sent, and the reorder timer is armed for the earliest one still
+    /// inside that window. Adds no SACK-gap hints, so it is safe on every
+    /// ACK and on every sweep. Returns how many segments were marked.
+    pub fn detect_rack_losses(&mut self, t: Duration) -> u32 {
+        if self.cfg.algo == CcAlgo::Fixed {
             return 0;
         }
+        let lost = self.rack_losses(t);
+        for &s in &lost {
+            self.mark_lost(s, t, false);
+        }
+        lost.len() as u32
+    }
+
+    fn sack_gap_losses(&mut self) -> Vec<u64> {
         let mut newly = Vec::new();
         for (&s, seg) in self.segs.range_mut(..self.high_sacked) {
             if s + seg.len > self.high_sacked || seg.state != SegState::InFlight {
@@ -493,10 +577,91 @@ impl RecoveryEngine {
                 newly.push(s);
             }
         }
-        for &s in &newly {
-            self.mark_lost(s, t, false);
+        newly
+    }
+
+    fn rack_losses(&mut self, t: Duration) -> Vec<u64> {
+        self.reo_deadline = None;
+        let mut newly = Vec::new();
+        let (Some(rack), Some(srtt)) = (self.rack, self.rtt.srtt()) else {
+            return newly;
+        };
+        let reo_wnd = srtt + srtt / 4;
+        for (&s, seg) in &self.segs {
+            if seg.state != SegState::InFlight || (seg.last_tx, s + seg.len) >= rack {
+                continue;
+            }
+            let due = seg.last_tx + reo_wnd;
+            if t >= due {
+                newly.push(s);
+            } else {
+                self.reo_deadline = Some(self.reo_deadline.map_or(due, |d| d.min(due)));
+            }
         }
-        newly.len() as u32
+        if let Some(tel) = &self.tel {
+            tel.rack_lost.add(newly.len() as u64);
+        }
+        newly
+    }
+
+    /// RACK: the transmission of `seg` ending at `end` was acknowledged.
+    /// An ACK arriving sooner than the minimum RTT after a retransmission
+    /// must be for an earlier copy, so it says nothing about when the
+    /// acknowledged data was sent.
+    fn rack_delivered(&mut self, t: Duration, seg: &Seg, end: u64) {
+        if seg.tx_count > 1 && self.min_rtt.is_some_and(|m| t < seg.last_tx + m) {
+            return;
+        }
+        let cand = (seg.last_tx, end);
+        if self.rack.is_none_or(|r| cand > r) {
+            self.rack = Some(cand);
+        }
+    }
+
+    /// (Re)arms the tail-loss probe `2·SRTT` from `t` (at least a
+    /// quarter of the RTO floor), unless a probe is already out, nothing
+    /// is outstanding, or the RTO would fire first.
+    fn arm_pto(&mut self, t: Duration) {
+        self.pto_deadline = None;
+        if self.cfg.algo == CcAlgo::Fixed || self.tlp_sent || self.outstanding() == 0 {
+            return;
+        }
+        let Some(srtt) = self.rtt.srtt() else {
+            return;
+        };
+        let pto = t + (2 * srtt).max(self.cfg.min_rto / 4);
+        if self.deadline.is_some_and(|rto| pto < rto) {
+            self.pto_deadline = Some(pto);
+        }
+    }
+
+    /// The probe timer expired: queue the highest in-flight segment for
+    /// retransmission so its ACK (or SACK) re-clocks recovery. No window
+    /// reduction — a probe is not evidence of loss. Unlike RFC 8985
+    /// §7.2 this also probes with SACKed data outstanding: in a window of
+    /// a few messages a hole and a lost tail often coincide, and RACK
+    /// cannot see the tail.
+    fn send_tlp(&mut self) {
+        self.pto_deadline = None;
+        if self.rtx.len() >= self.cfg.rtx_queue_cap {
+            return;
+        }
+        let Some((&s, seg)) = self
+            .segs
+            .iter_mut()
+            .rev()
+            .find(|(_, seg)| seg.state == SegState::InFlight)
+        else {
+            return;
+        };
+        seg.state = SegState::Lost;
+        seg.rto_loss = false;
+        seg.queued = true;
+        self.rtx.push_back(s);
+        self.tlp_sent = true;
+        if let Some(tel) = &self.tel {
+            tel.tlp_probes.inc();
+        }
     }
 
     fn mark_lost(&mut self, start: u64, t: Duration, rto: bool) {
@@ -569,6 +734,7 @@ impl RecoveryEngine {
                 return None;
             }
             seg.tx_count += 1;
+            seg.last_tx = t;
             seg.dup_hints = 0;
             seg.state = SegState::InFlight;
             let len = seg.len;
@@ -595,10 +761,13 @@ impl RecoveryEngine {
         !self.rtx.is_empty()
     }
 
-    /// Checks the retransmission timer. On expiry with data outstanding
+    /// Checks the engine's timers. On RTO expiry with data outstanding
     /// the head segment is marked lost and queued at the front, the RTO
     /// backs off, and the controller is told; with nothing outstanding
-    /// the expiry is reported as the caller's probe timer.
+    /// the expiry is reported as the caller's probe timer. Short of an
+    /// RTO, an expired reorder timer re-runs RACK detection and an
+    /// expired probe timer queues a tail-loss probe. Callers drain
+    /// [`Self::pop_rtx`] after every sweep.
     pub fn sweep(&mut self, t: Duration) -> SweepEvent {
         let mut ev = SweepEvent::default();
         if self.dead {
@@ -606,12 +775,17 @@ impl RecoveryEngine {
             return ev;
         }
         self.requeue_lost();
-        let Some(deadline) = self.deadline else {
-            return ev;
-        };
-        if t < deadline {
+        if self.deadline.is_none_or(|d| t < d) {
+            if self.reo_deadline.is_some_and(|d| t >= d) {
+                self.detect_rack_losses(t);
+            }
+            if self.pto_deadline.is_some_and(|d| t >= d) {
+                self.send_tlp();
+            }
             return ev;
         }
+        self.reo_deadline = None;
+        self.pto_deadline = None;
         self.rtt.on_backoff();
         if self.outstanding() == 0 {
             ev.probe = true;
@@ -675,10 +849,14 @@ impl RecoveryEngine {
         }
     }
 
-    /// The current timer deadline, as time-since-epoch.
+    /// When [`Self::sweep`] next has work: the earliest of the RTO, the
+    /// reorder timer and the probe timer, as time-since-epoch.
     #[must_use]
-    pub fn rto_deadline(&self) -> Option<Duration> {
-        self.deadline
+    pub fn deadline(&self) -> Option<Duration> {
+        [self.deadline, self.reo_deadline, self.pto_deadline]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// The current retransmission timeout (backed off, clamped).
@@ -847,7 +1025,7 @@ mod tests {
         assert_eq!(ev.newly_acked, 4);
         assert_eq!(ev.rtt_sample, Some(5 * MS));
         assert_eq!(e.outstanding(), 0);
-        assert!(e.rto_deadline().is_none());
+        assert!(e.deadline().is_none());
         e.check_partition().unwrap();
         assert!(e.cwnd() > 4, "slow start should have grown cwnd");
     }
@@ -895,6 +1073,106 @@ mod tests {
         e.check_partition().unwrap();
     }
 
+    /// An engine whose first segment round-tripped in 4 ms at t = 4 ms:
+    /// SRTT 4 ms, RTTVAR 2 ms, RTO 12 ms, nothing outstanding.
+    fn warmed(algo: CcAlgo) -> RecoveryEngine {
+        let mut e = RecoveryEngine::new(cfg(algo));
+        e.on_send(Duration::ZERO, 1);
+        e.on_cum_ack(4 * MS, 1);
+        assert_eq!(e.srtt(), Some(4 * MS));
+        assert_eq!(e.rto(), 12 * MS);
+        e
+    }
+
+    #[test]
+    fn later_delivery_marks_earlier_segment_lost() {
+        let tel = Telemetry::new();
+        let mut e = warmed(CcAlgo::NewReno).with_telemetry(&tel);
+        // Seq 2 (sent later) is SACKed while seq 1, sent 8 ms = 2·SRTT
+        // ago, is not: past SRTT + SRTT/4, so it is lost.
+        e.on_send(10 * MS, 1);
+        e.on_send(16 * MS, 1);
+        e.on_sack_seq(18 * MS, 2);
+        assert_eq!(e.detect_losses(18 * MS), 1);
+        assert_eq!(e.pop_rtx(18 * MS), Some((1, 1)));
+        assert_eq!(e.pop_rtx(18 * MS), None, "sacked segments never retransmit");
+        e.check_partition().unwrap();
+        // The retransmission is lost too: a segment sent after it is
+        // SACKed 7 ms later, and RACK catches it without a timeout.
+        e.on_send(19 * MS, 1);
+        e.on_sack_seq(25 * MS, 3);
+        assert_eq!(e.detect_losses(25 * MS), 1);
+        assert_eq!(e.pop_rtx(25 * MS), Some((1, 1)));
+        let ev = e.on_cum_ack(27 * MS, 4);
+        assert_eq!(ev.newly_acked, 3);
+        assert_eq!(e.scoreboard(), (0, 0, 0));
+        e.check_partition().unwrap();
+        let snap = tel.snapshot();
+        assert_eq!(snap.get("cc.rack_lost"), Some(2));
+        assert_eq!(snap.get("cc.rto_fired"), Some(0));
+    }
+
+    #[test]
+    fn reorder_window_holds_loss_mark_until_it_passes() {
+        // Seq 2 arrives first: seq 1 may merely be reordered. It is not
+        // lost until SRTT + SRTT/4 = 5 ms after it was sent.
+        let mut e = warmed(CcAlgo::NewReno);
+        e.on_send(10 * MS, 1);
+        e.on_send(10 * MS, 1);
+        e.on_sack_seq(12 * MS, 2);
+        assert_eq!(e.detect_losses(12 * MS), 0);
+        assert_eq!(e.deadline(), Some(15 * MS), "reorder timer armed");
+        // One SRTT after sending is still inside the reorder window.
+        e.sweep(14 * MS + MS / 2);
+        assert!(e.pop_rtx(14 * MS + MS / 2).is_none());
+        assert_eq!(e.scoreboard(), (1, 1, 0));
+        e.sweep(15 * MS);
+        assert_eq!(e.pop_rtx(15 * MS), Some((1, 1)));
+        e.check_partition().unwrap();
+        // Had seq 1 arrived in time, nothing would have been marked.
+        let mut e = warmed(CcAlgo::NewReno);
+        e.on_send(10 * MS, 1);
+        e.on_send(10 * MS, 1);
+        e.on_sack_seq(12 * MS, 2);
+        e.detect_losses(12 * MS);
+        e.on_cum_ack(13 * MS, 3);
+        e.detect_losses(13 * MS);
+        assert_eq!(e.deadline(), None);
+        e.sweep(20 * MS);
+        assert!(e.pop_rtx(20 * MS).is_none());
+    }
+
+    #[test]
+    fn retransmission_is_not_re_marked_by_plain_acks_or_sweeps() {
+        let mut e = warmed(CcAlgo::NewReno);
+        for _ in 0..3 {
+            e.on_send(10 * MS, 1); // seqs 1..=3
+        }
+        e.on_sack_seq(16 * MS, 3);
+        assert_eq!(e.detect_losses(16 * MS), 2);
+        assert_eq!(e.pop_rtx(16 * MS), Some((1, 1)));
+        assert_eq!(e.pop_rtx(16 * MS), Some((2, 1)));
+        // ACKs without SACK news and timer sweeps carry no new evidence:
+        // however many arrive, the retransmissions stay in flight (three
+        // SACK-gap hints would have re-marked them).
+        for ms in 17..=20 {
+            assert_eq!(e.detect_rack_losses(ms * MS), 0);
+            e.sweep(ms * MS);
+            assert!(e.pop_rtx(ms * MS).is_none(), "re-marked at {ms} ms");
+        }
+        assert_eq!(e.scoreboard(), (2, 1, 0));
+        // A delivery sent after them starts their reorder window, which
+        // closes SRTT + SRTT/4 after they went out, not before.
+        e.on_send(18 * MS, 1); // seq 4
+        e.on_sack_seq(20 * MS, 4);
+        assert_eq!(e.detect_losses(20 * MS), 0);
+        assert_eq!(e.deadline(), Some(21 * MS));
+        e.sweep(21 * MS);
+        assert_eq!(e.pop_rtx(21 * MS), Some((1, 1)));
+        assert_eq!(e.pop_rtx(21 * MS), Some((2, 1)));
+        e.check_partition().unwrap();
+    }
+
     #[test]
     fn one_window_reduction_per_recovery_episode() {
         let mut e = RecoveryEngine::new(cfg(CcAlgo::NewReno));
@@ -921,11 +1199,101 @@ mod tests {
     }
 
     #[test]
+    fn lost_retransmissions_stay_in_one_recovery_episode() {
+        let mut e = warmed(CcAlgo::NewReno);
+        for _ in 0..4 {
+            e.on_send(10 * MS, 1); // seqs 1..=4
+        }
+        let before = e.cwnd();
+        // Two separate holes in the same flight: 1 and 3 missing.
+        e.on_sack_seq(16 * MS, 2);
+        e.on_sack_seq(16 * MS, 4);
+        assert_eq!(e.detect_losses(16 * MS), 2);
+        let after_first = e.cwnd();
+        assert!(after_first < before);
+        // The retransmissions are lost again in the same episode: the
+        // window must not shrink a second time.
+        assert_eq!(e.pop_rtx(16 * MS), Some((1, 1)));
+        assert_eq!(e.pop_rtx(16 * MS), Some((3, 1)));
+        e.on_send(17 * MS, 1); // seq 5
+        e.on_sack_seq(23 * MS, 5);
+        assert_eq!(e.detect_losses(23 * MS), 2);
+        assert_eq!(e.cwnd(), after_first);
+    }
+
+    #[test]
+    fn tail_loss_probe_fires_once_without_window_cut() {
+        let tel = Telemetry::new();
+        let mut e = warmed(CcAlgo::NewReno).with_telemetry(&tel);
+        for _ in 0..3 {
+            e.on_send(10 * MS, 1); // seqs 1..=3
+        }
+        // No ACK for 2·SRTT: the probe timer (18 ms) beats the RTO (22 ms).
+        assert_eq!(e.deadline(), Some(18 * MS));
+        let (cwnd, ssthresh) = (e.cwnd(), e.ssthresh());
+        let ev = e.sweep(18 * MS);
+        assert!(!ev.rto_fired);
+        // The probe is the highest in-flight segment, and costs no window.
+        assert_eq!(e.pop_rtx(18 * MS), Some((3, 1)));
+        assert_eq!((e.cwnd(), e.ssthresh()), (cwnd, ssthresh));
+        e.check_partition().unwrap();
+        // Once per episode: without cumulative progress the next deadline
+        // is the RTO, and sweeping before it sends nothing.
+        assert_eq!(e.deadline(), Some(22 * MS));
+        e.sweep(21 * MS);
+        assert!(e.pop_rtx(21 * MS).is_none());
+        // The probe's ACK ends the episode and re-arms the probe timer.
+        e.on_cum_ack(21 * MS, 4);
+        e.on_send(21 * MS, 1);
+        assert!(e.deadline().unwrap() < 21 * MS + e.rto());
+        let snap = tel.snapshot();
+        assert_eq!(snap.get("cc.tlp_probes"), Some(1));
+        assert_eq!(snap.get("cc.rto_fired"), Some(0));
+    }
+
+    #[test]
+    fn probe_timer_stays_below_rto() {
+        // SRTT 4 ms, RTO 12 ms: the probe is armed 8 ms out.
+        let mut e = warmed(CcAlgo::Cubic);
+        e.on_send(10 * MS, 1);
+        assert_eq!(e.deadline(), Some(18 * MS));
+        // A steady path drives RTTVAR toward 0 and the RTO toward SRTT,
+        // below 2·SRTT: the RTO then fires first and no probe is armed.
+        let mut e = RecoveryEngine::new(cfg(CcAlgo::NewReno));
+        let mut t = Duration::ZERO;
+        for i in 0..64 {
+            e.on_send(t, 1);
+            t += 5 * MS;
+            e.on_cum_ack(t, i + 1);
+        }
+        assert!(e.rto() < 2 * e.srtt().unwrap());
+        e.on_send(t, 1);
+        assert_eq!(e.deadline(), Some(t + e.rto()));
+    }
+
+    #[test]
+    fn fixed_arms_neither_reorder_nor_probe_timer() {
+        let tel = Telemetry::new();
+        let mut e = warmed(CcAlgo::Fixed).with_telemetry(&tel);
+        e.on_send(10 * MS, 1);
+        e.on_send(10 * MS, 1);
+        assert_eq!(e.deadline(), Some(10 * MS + e.rto()), "RTO only");
+        e.on_sack_seq(20 * MS, 2);
+        assert_eq!(e.detect_losses(20 * MS), 0);
+        assert_eq!(e.deadline(), Some(10 * MS + e.rto()));
+        e.sweep(21 * MS);
+        assert!(e.pop_rtx(21 * MS).is_none());
+        let snap = tel.snapshot();
+        assert_eq!(snap.get("cc.rack_lost"), Some(0));
+        assert_eq!(snap.get("cc.tlp_probes"), Some(0));
+    }
+
+    #[test]
     fn rto_marks_head_backs_off_and_eventually_dies() {
         let mut e = RecoveryEngine::new(cfg(CcAlgo::NewReno));
         e.on_send(Duration::ZERO, 1);
         let rto0 = e.rto();
-        let mut t = e.rto_deadline().unwrap();
+        let mut t = e.deadline().unwrap();
         let mut retransmits = 0;
         loop {
             let ev = e.sweep(t);
@@ -939,7 +1307,7 @@ mod tests {
                 retransmits += 1;
             }
             e.check_partition().unwrap();
-            t = e.rto_deadline().unwrap();
+            t = e.deadline().unwrap();
             assert!(retransmits <= 64, "never went dead");
         }
         assert!(e.is_dead());
@@ -981,11 +1349,11 @@ mod tests {
     fn probe_event_when_nothing_outstanding() {
         let mut e = RecoveryEngine::new(cfg(CcAlgo::Fixed));
         e.ensure_deadline(Duration::ZERO);
-        let d = e.rto_deadline().unwrap();
+        let d = e.deadline().unwrap();
         let ev = e.sweep(d);
         assert!(ev.probe);
         assert!(!ev.rto_fired);
-        assert!(e.rto_deadline().is_none());
+        assert!(e.deadline().is_none());
     }
 
     #[test]
@@ -1000,7 +1368,7 @@ mod tests {
         e.detect_losses(MS);
         e.detect_losses(MS);
         assert_eq!(e.window(), 64);
-        let d = e.rto_deadline().unwrap();
+        let d = e.deadline().unwrap();
         e.sweep(d);
         assert_eq!(e.window(), 64);
     }

@@ -9,9 +9,10 @@
 //!
 //! * [`engine::RecoveryEngine`] — a selective-repeat sender scoreboard
 //!   (in-flight / SACKed / lost ranges partitioning the outstanding
-//!   window), BDP-bounded send window, fast retransmit on duplicate-ACK
-//!   and SACK-gap evidence, and a bounded retransmit queue. Both
-//!   reliable conduits are refactored onto it.
+//!   window), BDP-bounded send window, duplicate-ACK and SACK-gap loss
+//!   counting plus, for adaptive algorithms, RACK-TLP (RFC 8985:
+//!   time-based loss marks and tail-loss probes), and a bounded
+//!   retransmit queue. Both reliable conduits are refactored onto it.
 //! * [`rtt::RttEstimator`] — RFC-6298 SRTT/RTTVAR with Karn filtering
 //!   and exponential RTO backoff, replacing the fixed retransmit timers.
 //! * [`algo`] — the [`algo::CongestionControl`] trait

@@ -5,9 +5,10 @@
 //! outstanding sequence range `[una, nxt)`: no gaps, no overlaps, in
 //! every congestion-control mode, under any interleaving of sends,
 //! cumulative ACKs (including partial ACKs that split segments), SACK
-//! ranges, duplicate ACKs, timer sweeps and retransmit pops. These tests
-//! drive random event sequences and call `check_partition` after every
-//! single step.
+//! ranges, duplicate ACKs, timer sweeps (at the engine's deadline and at
+//! arbitrary times, so RACK reorder timers and tail-loss probes fire
+//! mid-interleaving) and retransmit pops. These tests drive random event
+//! sequences and call `check_partition` after every single step.
 
 use std::time::Duration;
 
@@ -27,10 +28,15 @@ enum Ev {
     Sack(u8, u8),
     /// A duplicate cumulative ACK.
     DupAck,
-    /// Run gap-based loss detection.
+    /// Run loss detection for a SACK frame (gap hints + RACK).
     Detect,
-    /// Advance time to the timer deadline and sweep.
+    /// Run RACK alone, as for an ACK without SACK news.
+    RackDetect,
+    /// Advance time to the engine's deadline (RTO, reorder or probe
+    /// timer, whichever is first) and sweep.
     Rto,
+    /// Advance time by an arbitrary number of microseconds and sweep.
+    Sweep(u16),
     /// Drain one retransmission.
     PopRtx,
 }
@@ -40,6 +46,9 @@ prop_compose! {
 }
 prop_compose! {
     fn ev_cum_ack()(f in 0u8..=64) -> Ev { Ev::CumAck(f) }
+}
+prop_compose! {
+    fn ev_sweep()(us in 0u16..20_000) -> Ev { Ev::Sweep(us) }
 }
 prop_compose! {
     fn ev_sack()(a in 0u8..=64, b in 0u8..=64) -> Ev { Ev::Sack(a.min(b), a.max(b)) }
@@ -52,7 +61,9 @@ fn ev_strategy() -> impl Strategy<Value = Ev> {
         ev_sack(),
         Just(Ev::DupAck),
         Just(Ev::Detect),
+        Just(Ev::RackDetect),
         Just(Ev::Rto),
+        ev_sweep(),
         Just(Ev::PopRtx),
     ]
 }
@@ -62,7 +73,7 @@ fn scale(una: u64, nxt: u64, f: u8) -> u64 {
     una + (nxt - una) * u64::from(f) / 64
 }
 
-fn run_events(algo: CcAlgo, events: &[Ev]) -> Result<(), TestCaseError> {
+fn engine(algo: CcAlgo) -> RecoveryEngine {
     let cfg = RecoveryConfig {
         algo,
         quantum: 1,
@@ -78,37 +89,53 @@ fn run_events(algo: CcAlgo, events: &[Ev]) -> Result<(), TestCaseError> {
         rtx_queue_cap: 8, // small, so overflow + requeue paths run
         paced: false,
     };
-    let mut e = RecoveryEngine::new_at(cfg, 1);
-    let mut t = Duration::ZERO;
-    for (i, ev) in events.iter().enumerate() {
-        t += Duration::from_micros(250);
-        match *ev {
-            Ev::Send(len) => {
-                if e.can_send(len, u64::MAX) {
-                    e.on_send(t, len);
-                }
-            }
-            Ev::CumAck(f) => {
-                e.on_cum_ack(t, scale(e.una(), e.nxt(), f));
-            }
-            Ev::Sack(lo, hi) => {
-                let (l, h) = (scale(e.una(), e.nxt(), lo), scale(e.una(), e.nxt(), hi));
-                e.on_sack_range(t, l, h);
-            }
-            Ev::DupAck => e.on_dup_ack(t),
-            Ev::Detect => {
-                e.detect_losses(t);
-            }
-            Ev::Rto => {
-                if let Some(d) = e.rto_deadline() {
-                    t = t.max(d);
-                    e.sweep(t);
-                }
-            }
-            Ev::PopRtx => {
-                e.pop_rtx(t);
+    RecoveryEngine::new_at(cfg, 1)
+}
+
+/// Applies `ev` at the clock `t` (advanced first), returning what a
+/// retransmit pop yielded.
+fn apply(e: &mut RecoveryEngine, t: &mut Duration, ev: Ev) -> Option<(u64, u64)> {
+    *t += Duration::from_micros(250);
+    match ev {
+        Ev::Send(len) => {
+            if e.can_send(len, u64::MAX) {
+                e.on_send(*t, len);
             }
         }
+        Ev::CumAck(f) => {
+            e.on_cum_ack(*t, scale(e.una(), e.nxt(), f));
+        }
+        Ev::Sack(lo, hi) => {
+            let (l, h) = (scale(e.una(), e.nxt(), lo), scale(e.una(), e.nxt(), hi));
+            e.on_sack_range(*t, l, h);
+        }
+        Ev::DupAck => e.on_dup_ack(*t),
+        Ev::Detect => {
+            e.detect_losses(*t);
+        }
+        Ev::RackDetect => {
+            e.detect_rack_losses(*t);
+        }
+        Ev::Rto => {
+            if let Some(d) = e.deadline() {
+                *t = (*t).max(d);
+                e.sweep(*t);
+            }
+        }
+        Ev::Sweep(us) => {
+            *t += Duration::from_micros(u64::from(us));
+            e.sweep(*t);
+        }
+        Ev::PopRtx => return e.pop_rtx(*t),
+    }
+    None
+}
+
+fn run_events(algo: CcAlgo, events: &[Ev]) -> Result<(), TestCaseError> {
+    let mut e = engine(algo);
+    let mut t = Duration::ZERO;
+    for (i, ev) in events.iter().enumerate() {
+        apply(&mut e, &mut t, *ev);
         if let Err(msg) = e.check_partition() {
             return Err(TestCaseError::fail(format!(
                 "after event #{i} {ev:?} (algo {algo}): {msg}"
@@ -149,53 +176,10 @@ proptest! {
     ) {
         let algo = CcAlgo::ALL[algo_idx];
         let run = |events: &[Ev]| {
-            let cfg = RecoveryConfig {
-                algo,
-                quantum: 1,
-                init_cwnd: 4,
-                fixed_window: 32,
-                bdp_cap: 128,
-                initial_rto: Duration::from_millis(10),
-                min_rto: Duration::from_millis(1),
-                max_rto: Duration::from_millis(200),
-                backoff: true,
-                max_retries: 4,
-                dup_threshold: 2,
-                rtx_queue_cap: 8,
-                paced: false,
-            };
-            let mut e = RecoveryEngine::new_at(cfg, 1);
+            let mut e = engine(algo);
             let mut t = Duration::ZERO;
-            let mut pops = Vec::new();
-            for ev in events {
-                t += Duration::from_micros(250);
-                match *ev {
-                    Ev::Send(len) => {
-                        if e.can_send(len, u64::MAX) {
-                            e.on_send(t, len);
-                        }
-                    }
-                    Ev::CumAck(f) => {
-                        e.on_cum_ack(t, scale(e.una(), e.nxt(), f));
-                    }
-                    Ev::Sack(lo, hi) => {
-                        let (l, h) = (scale(e.una(), e.nxt(), lo), scale(e.una(), e.nxt(), hi));
-                        e.on_sack_range(t, l, h);
-                    }
-                    Ev::DupAck => e.on_dup_ack(t),
-                    Ev::Detect => {
-                        e.detect_losses(t);
-                    }
-                    Ev::Rto => {
-                        if let Some(d) = e.rto_deadline() {
-                            t = t.max(d);
-                            e.sweep(t);
-                        }
-                    }
-                    Ev::PopRtx => pops.push(e.pop_rtx(t)),
-                }
-            }
-            (e.una(), e.nxt(), e.cwnd(), e.scoreboard(), e.is_dead(), pops)
+            let pops: Vec<_> = events.iter().map(|&ev| apply(&mut e, &mut t, ev)).collect();
+            (e.una(), e.nxt(), e.cwnd(), e.scoreboard(), e.is_dead(), e.deadline(), pops)
         };
         prop_assert_eq!(run(&events), run(&events));
     }

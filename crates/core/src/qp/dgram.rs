@@ -296,9 +296,7 @@ impl DatagramQp {
         } else {
             let rx_inner = Arc::clone(&inner);
             Some(
-                std::thread::Builder::new()
-                    .name(format!("iwarp-dgqp-{qpn}"))
-                    .spawn(move || rx_loop(&rx_inner))
+                tel.spawn(format!("iwarp-dgqp-{qpn}"), move || rx_loop(&rx_inner))
                     .expect("spawn datagram QP rx thread"),
             )
         };

@@ -195,9 +195,7 @@ impl RcQp {
         } else {
             let rx_inner = Arc::clone(&inner);
             Some(
-                std::thread::Builder::new()
-                    .name(format!("iwarp-rcqp-{qpn}"))
-                    .spawn(move || rx_loop(&rx_inner))
+                tel.spawn(format!("iwarp-rcqp-{qpn}"), move || rx_loop(&rx_inner))
                     .expect("spawn RC QP rx thread"),
             )
         };

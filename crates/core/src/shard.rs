@@ -144,14 +144,14 @@ pub struct ShardMap {
 impl ShardMap {
     /// Spawns `cfg.shards` worker threads (`iwarp-shard-<i>`).
     #[must_use]
-    pub fn new(cfg: ShardConfig, tel: &Telemetry) -> Arc<Self> {
+    pub fn new(cfg: ShardConfig, telemetry: &Telemetry) -> Arc<Self> {
         let tel = Arc::new(ShardTel {
-            wakeups: tel.counter("core.shard.wakeups"),
-            batches: tel.counter("core.shard.batches"),
-            requeues: tel.counter("core.shard.requeues"),
-            expiry_sweeps: tel.counter("core.shard.expiry_sweeps"),
-            registered: tel.counter("core.shard.registered"),
-            pinned: tel.counter("core.shard.pinned"),
+            wakeups: telemetry.counter("core.shard.wakeups"),
+            batches: telemetry.counter("core.shard.batches"),
+            requeues: telemetry.counter("core.shard.requeues"),
+            expiry_sweeps: telemetry.counter("core.shard.expiry_sweeps"),
+            registered: telemetry.counter("core.shard.registered"),
+            pinned: telemetry.counter("core.shard.pinned"),
         });
         let shards: Vec<Arc<Shard>> = (0..cfg.shards.max(1))
             .map(|_| {
@@ -171,18 +171,17 @@ impl ShardMap {
             .enumerate()
             .map(|(i, shard)| {
                 let shard = Arc::clone(shard);
-                let tel = Arc::clone(&tel);
+                let shard_tel = Arc::clone(&tel);
                 let batch = cfg.batch.max(1);
                 let tick = cfg.idle_tick;
                 let sweep_every = cfg.sweep_every;
                 let pin = cfg.pin_cores;
-                std::thread::Builder::new()
-                    .name(format!("iwarp-shard-{i}"))
-                    .spawn(move || {
+                telemetry
+                    .spawn(format!("iwarp-shard-{i}"), move || {
                         if pin && iwarp_common::affinity::pin_to_core(i) {
-                            tel.pinned.inc();
+                            shard_tel.pinned.inc();
                         }
-                        worker(&shard, batch, tick, sweep_every, &tel);
+                        worker(&shard, batch, tick, sweep_every, &shard_tel);
                     })
                     .expect("spawn shard worker")
             })

@@ -271,9 +271,10 @@ impl Fabric {
         if let Some(p) = &inner.pump {
             let p = Arc::clone(p);
             let weak = Arc::downgrade(&inner);
-            std::thread::Builder::new()
-                .name("simnet-delay".into())
-                .spawn(move || delay_pump(&p, &weak))
+            inner
+                .tel
+                .tel
+                .spawn("simnet-delay".into(), move || delay_pump(&p, &weak))
                 .expect("spawn delay-pump thread");
         }
         Self { inner }

@@ -466,12 +466,10 @@ impl Inner {
             st.snd_wnd = seg.wnd;
             let t = st.engine.now();
             if seg.flags & FLAG_SACK != 0 {
-                // The payload is SACK metadata: feed the scoreboard, then
-                // let the engine infer losses from the sacked horizon.
+                // The payload is SACK metadata: feed the scoreboard.
                 for (lo, hi) in decode_sack(&seg.payload) {
                     st.engine.on_sack_range(t, lo, hi);
                 }
-                st.engine.detect_losses(t);
             }
             if seg.ack > st.snd_una && seg.ack <= st.snd_nxt {
                 // Bytes covered by the cumulative ACK leave the send queue.
@@ -495,6 +493,14 @@ impl Inner {
                 // hints at head loss; the engine fast-retransmits once
                 // enough hints accumulate.
                 st.engine.on_dup_ack(t);
+            }
+            // With the scoreboard updated, let the engine mark losses. Only
+            // a SACK frame is gap evidence; every ACK (data segments carry
+            // one too) can advance RACK's newest-delivered transmission.
+            if seg.flags & FLAG_SACK != 0 {
+                st.engine.detect_losses(t);
+            } else {
+                st.engine.detect_rack_losses(t);
             }
             self.drain_rtx(st, &self.tel.fast_retransmits);
         }
@@ -666,7 +672,9 @@ impl Inner {
     }
 
     /// Established-phase timer: lets the engine sweep, then acts on what it
-    /// decided (head retransmission, zero-window probe, or death).
+    /// decided (retransmissions, zero-window probe, or death). The queue
+    /// is drained after every sweep — an RTO, a reorder-timer loss mark
+    /// and a tail-loss probe all land there.
     fn on_engine_timer(&self, st: &mut St) {
         let t = st.engine.now();
         let ev = st.engine.sweep(t);
@@ -687,9 +695,12 @@ impl Inner {
             }
             return;
         }
-        if ev.rto_fired {
-            self.drain_rtx(st, &self.tel.rto_retransmits);
-        }
+        let kind = if ev.rto_fired {
+            &self.tel.rto_retransmits
+        } else {
+            &self.tel.fast_retransmits
+        };
+        self.drain_rtx(st, kind);
     }
 }
 
@@ -708,7 +719,7 @@ impl Inner {
                 w = w.min(d.saturating_duration_since(Instant::now()));
             }
             if st.conn == Conn::Established {
-                if let Some(d) = st.engine.rto_deadline() {
+                if let Some(d) = st.engine.deadline() {
                     w = w.min(d.saturating_sub(st.engine.now()));
                 }
             }
@@ -746,7 +757,7 @@ impl Inner {
                 }
             }
             Conn::Established => {
-                if let Some(d) = st.engine.rto_deadline() {
+                if let Some(d) = st.engine.deadline() {
                     if st.engine.now() >= d {
                         self.on_engine_timer(&mut st);
                     }
@@ -897,9 +908,10 @@ impl StreamConduit {
         } else {
             let io_inner = Arc::clone(&inner);
             Some(
-                std::thread::Builder::new()
-                    .name("stream-io".into())
-                    .spawn(move || io_loop(&io_inner))
+                inner
+                    .tel
+                    .tel
+                    .spawn("stream-io".into(), move || io_loop(&io_inner))
                     .expect("spawn stream io thread"),
             )
         };

@@ -106,12 +106,14 @@ fn stream_socket_interleaved_bidirectional() {
     });
 }
 
+/// Threads the stack has spawned on `fab` (its own telemetry gauge, so
+/// sibling tests running in the same process cannot perturb it).
+fn threads_spawned(fab: &Fabric) -> u64 {
+    fab.telemetry().counter("core.threads.spawned").get()
+}
+
 #[test]
 fn poll_mode_sockets_spawn_no_threads() {
-    // Count threads before and after creating 50 poll-mode sockets.
-    let count_threads = || -> usize {
-        std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
-    };
     let fab = Fabric::loopback();
     let cfg = SocketConfig {
         recv_slots: 2,
@@ -123,23 +125,29 @@ fn poll_mode_sockets_spawn_no_threads() {
         ..SocketConfig::default()
     };
     let stack = SocketStack::with_config(&fab, NodeId(0), Default::default(), cfg);
-    let before = count_threads();
+    let before = threads_spawned(&fab);
     let socks: Vec<_> = (0..50).map(|_| stack.dgram().unwrap()).collect();
-    let after = count_threads();
-    assert_eq!(after, before, "poll-mode sockets must not spawn threads");
+    assert_eq!(
+        threads_spawned(&fab),
+        before,
+        "poll-mode sockets must not spawn threads"
+    );
     drop(socks);
 }
 
 #[test]
 fn threaded_sockets_do_spawn_engines() {
-    let count_threads = || -> usize {
-        std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
-    };
     let fab = Fabric::loopback();
     let stack = SocketStack::new(&fab, NodeId(0)); // threaded default
-    let before = count_threads();
-    let _s1 = stack.dgram().unwrap();
-    let _s2 = stack.dgram().unwrap();
-    let after = count_threads();
-    assert!(after >= before + 2, "threaded sockets spawn RX engines");
+    let live = fab.telemetry().counter("core.threads.live");
+    let (before, live_before) = (threads_spawned(&fab), live.get());
+    let s1 = stack.dgram().unwrap();
+    let s2 = stack.dgram().unwrap();
+    assert!(
+        threads_spawned(&fab) >= before + 2,
+        "threaded sockets spawn RX engines"
+    );
+    assert!(live.get() >= live_before + 2, "spawned engines are live");
+    drop((s1, s2));
+    assert_eq!(live.get(), live_before, "closed sockets join their engines");
 }

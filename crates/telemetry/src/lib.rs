@@ -116,6 +116,33 @@ impl Telemetry {
         self.inner.histograms.get_or_insert(name, Histogram::new)
     }
 
+    /// Spawns a named stack thread counted in this domain: the
+    /// monotonic `core.threads.spawned` and the gauge
+    /// `core.threads.live`, which drops when the thread body returns or
+    /// unwinds. Tests assert on these instead of process-wide procfs
+    /// thread counts, which sibling tests perturb.
+    pub fn spawn<F, T>(&self, name: String, f: F) -> std::io::Result<std::thread::JoinHandle<T>>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
+        struct Live(Counter);
+        impl Drop for Live {
+            fn drop(&mut self) {
+                self.0.sub(1);
+            }
+        }
+        let live = self.counter("core.threads.live");
+        live.inc();
+        let guard = Live(live);
+        let handle = std::thread::Builder::new().name(name).spawn(move || {
+            let _live = guard;
+            f()
+        })?;
+        self.counter("core.threads.spawned").inc();
+        Ok(handle)
+    }
+
     /// The packet-event tracer shared by every layer in this domain.
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
